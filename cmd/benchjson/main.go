@@ -222,6 +222,18 @@ func main() {
 		{"SimCoreSnapshotWarm", simbench.SnapshotWarm},
 		{"SimCoreRestoreWarm", simbench.RestoreWarm},
 		{"SimCoreRestoreWarmRecycled", simbench.RestoreWarmRecycled},
+		// Layers above the machine: the pmem.Session data plane on
+		// free and timed sessions, and free-session B+-tree paths.
+		{"SessionPeek64Free", simbench.SessionPeek64Free},
+		{"SessionPeek64Timed", simbench.SessionPeek64Timed},
+		{"SessionPoke64Free", simbench.SessionPoke64Free},
+		{"SessionPoke64Timed", simbench.SessionPoke64Timed},
+		{"SessionLoad64Free", simbench.SessionLoad64Free},
+		{"SessionLoad64Timed", simbench.SessionLoad64Timed},
+		{"SessionPersistFree", simbench.SessionPersistFree},
+		{"SessionPersistTimed", simbench.SessionPersistTimed},
+		{"BTreeInsertFree", simbench.BTreeInsertFree},
+		{"BTreeGetFree", simbench.BTreeGetFree},
 	}
 
 	doc := document{

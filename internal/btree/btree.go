@@ -176,13 +176,16 @@ type pathEntry struct {
 	idx  int // child slot followed (internal nodes)
 }
 
-// descend walks from the root to the leaf for key, recording the path.
-// When a key exceeds every separator of an internal node, the walk
-// follows the node's sibling pointer (B-link style): mid-split, the
-// upper half already lives in the right sibling before the parent
-// learns its separator.
-func (t *Tree) descend(s *pmem.Session, key uint64) (mem.Addr, []pathEntry) {
-	var path []pathEntry
+// descend walks from the root to the leaf for key. When path is
+// non-nil it is refilled with the internal nodes the walk passed
+// through, reusing its backing array. When a key exceeds every
+// separator of an internal node, the walk follows the node's sibling
+// pointer (B-link style): mid-split, the upper half already lives in
+// the right sibling before the parent learns its separator.
+func (t *Tree) descend(s *pmem.Session, key uint64, path *[]pathEntry) mem.Addr {
+	if path != nil {
+		*path = (*path)[:0]
+	}
 	n := t.root
 	for !t.isLeaf(s, n) {
 		idx := t.search(s, n, key)
@@ -194,17 +197,19 @@ func (t *Tree) descend(s *pmem.Session, key uint64) (mem.Addr, []pathEntry) {
 			}
 			idx = t.count(s, n) - 1
 		}
-		path = append(path, pathEntry{node: n, idx: idx})
+		if path != nil {
+			*path = append(*path, pathEntry{node: n, idx: idx})
+		}
 		n = mem.Addr(s.Peek64(slotAddr(n, idx) + 8))
 	}
-	return n, path
+	return n
 }
 
 // Get returns the value stored for key. A miss at the leaf's upper
 // boundary walks the sibling chain (the FAST & FAIR tolerance for
 // in-flight splits whose separator has not reached the parent yet).
 func (t *Tree) Get(s *pmem.Session, key uint64) (uint64, bool) {
-	leaf, _ := t.descend(s, key)
+	leaf := t.descend(s, key, nil)
 	for leaf != 0 {
 		idx := t.search(s, leaf, key) - 1
 		if idx >= 0 && s.Peek64(slotAddr(leaf, idx)) == key {
@@ -225,7 +230,7 @@ func (t *Tree) Get(s *pmem.Session, key uint64) (uint64, bool) {
 // Scan returns up to max keys >= start in ascending order (leaf sibling
 // walk), for range-query tests.
 func (t *Tree) Scan(s *pmem.Session, start uint64, max int) []uint64 {
-	leaf, _ := t.descend(s, start)
+	leaf := t.descend(s, start, nil)
 	var out []uint64
 	for leaf != 0 && len(out) < max {
 		s.LoadLine(leaf)
@@ -251,7 +256,10 @@ func (t *Tree) Insert(w *Writer, key, val uint64) error {
 		return fmt.Errorf("btree: zero key is reserved")
 	}
 	s := w.s
-	leaf, path := t.descend(s, key)
+	// The path lives in the Writer, not the Tree: writers on different
+	// simulated threads interleave mid-insert, each on its own descent.
+	leaf := t.descend(s, key, &w.path)
+	path := w.path
 
 	// Overwrite if present.
 	idx := t.search(s, leaf, key) - 1
@@ -524,7 +532,7 @@ func (t *Tree) splitInternal(w *Writer, n mem.Addr, path []pathEntry, sep uint64
 // pattern: per-shift barriers in place, or a redo transaction.
 func (t *Tree) Delete(w *Writer, key uint64) bool {
 	s := w.s
-	leaf, _ := t.descend(s, key)
+	leaf := t.descend(s, key, nil)
 	idx := t.search(s, leaf, key) - 1
 	if idx < 0 || s.Peek64(slotAddr(leaf, idx)) != key {
 		return false

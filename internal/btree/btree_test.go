@@ -149,7 +149,7 @@ func TestRedoRecovery(t *testing.T) {
 	if err := tr.Insert(w, 30, 300); err != nil {
 		t.Fatal(err)
 	}
-	leaf, _ := tr.descend(s, 10)
+	leaf := tr.descend(s, 10, nil)
 
 	// Committed-but-unapplied transaction: shift key 30 to slot 2 and
 	// put key 20 in slot 1, count 3 (what Insert(20) would log).

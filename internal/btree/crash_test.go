@@ -193,7 +193,7 @@ func TestBrokenCommitOrderingDetected(t *testing.T) {
 
 	tk := crash.NewTracker(h)
 	tk.Attach(s)
-	leaf, _ := tr.descend(s, 10)
+	leaf := tr.descend(s, 10, nil)
 
 	// Broken transaction: entries only stored (no flush, no fence), flag
 	// flushed and fenced. A crash can surface flag=2 with garbage (or

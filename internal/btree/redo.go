@@ -32,6 +32,10 @@ type Writer struct {
 	dramBase mem.Addr // DRAM mirror (0 when no DRAM heap is attached)
 
 	pending []update
+	// path and touched are per-insert scratch reused across operations,
+	// so the steady-state insert path does not allocate.
+	path    []pathEntry
+	touched []mem.Addr
 }
 
 type update struct {
@@ -46,6 +50,10 @@ type update struct {
 func (t *Tree) NewWriter(s *pmem.Session, dram *pmem.Heap) *Writer {
 	w := &Writer{t: t, s: s}
 	if t.mode == RedoLog {
+		// A transaction logs at most LogEntries updates, all within one
+		// node, so these buffers never grow after construction.
+		w.pending = make([]update, 0, LogEntries)
+		w.touched = make([]mem.Addr, 0, NodeBytes/mem.CachelineSize)
 		w.logBase = t.heap.Alloc(LogEntries*logEntryBytes, mem.CachelineSize)
 		w.flagAddr = t.heap.Alloc(mem.CachelineSize, mem.CachelineSize)
 		if dram != nil {
@@ -129,7 +137,7 @@ func (w *Writer) apply() {
 	s := w.s
 	// Dedup touched lines preserving order (map iteration would make
 	// the simulation nondeterministic).
-	var touched []mem.Addr
+	touched := w.touched[:0]
 	for _, u := range w.pending {
 		applyUpdate(s, u)
 		line := u.addr.Line()
@@ -144,6 +152,7 @@ func (w *Writer) apply() {
 			touched = append(touched, line)
 		}
 	}
+	w.touched = touched
 	for _, line := range touched {
 		s.Flush(line, mem.CachelineSize)
 	}

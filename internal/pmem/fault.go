@@ -23,13 +23,19 @@ func (s *Session) SetFaults(inj *fault.Injector) { s.faults = inj }
 // Faults returns the session's injector (nil when healthy).
 func (s *Session) Faults() *fault.Injector { return s.faults }
 
-// noteRead classifies one functional-plane load of addr's cacheline.
-// Inside a checked scope a poisoned line records the scope's error;
-// outside one it counts as silently absorbed.
+// noteRead classifies one functional-plane load of addr's cacheline
+// when an injector is attached. The guard inlines into every load path;
+// the classification is out of line.
 func (s *Session) noteRead(addr mem.Addr) {
-	if s.faults == nil {
-		return
+	if s.faults != nil {
+		s.classifyRead(addr)
 	}
+}
+
+// classifyRead classifies one load: inside a checked scope a poisoned
+// line records the scope's error; outside one it counts as silently
+// absorbed.
+func (s *Session) classifyRead(addr mem.Addr) {
 	if s.checkDepth > 0 {
 		if err := s.faults.ReadCheck(addr); err != nil && s.checkErr == nil {
 			s.checkErr = err

@@ -1,6 +1,7 @@
 package pmem
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"optanesim/internal/fault"
@@ -41,6 +42,11 @@ type Session struct {
 	heaps []*Heap
 	obs   Observer
 
+	// last is the heap that served the previous access (noHeap before
+	// the first): consecutive accesses almost always hit the same heap,
+	// so dispatch is one range compare before falling back to the scan.
+	last *Heap
+
 	// faults, when non-nil, classifies every functional-plane access
 	// (see SetFaults in fault.go). checkDepth/checkErr implement the
 	// FaultCheck scopes: loads inside a scope surface poison as the
@@ -54,7 +60,15 @@ type Session struct {
 // observer sees events in program order for this session.
 func (s *Session) SetObserver(o Observer) { s.obs = o }
 
+// noteStore reports a store of addr to the injector and the observer.
+// The guard inlines into every store path; the reporting is out of line.
 func (s *Session) noteStore(addr mem.Addr) {
+	if s.obs != nil || s.faults != nil {
+		s.reportStore(addr)
+	}
+}
+
+func (s *Session) reportStore(addr mem.Addr) {
 	s.noteWrite(addr)
 	if s.obs != nil {
 		s.obs.ObserveStore(addr.Line())
@@ -73,28 +87,43 @@ func (s *Session) noteStoreRange(addr mem.Addr, n int) {
 	}
 }
 
+// noHeap holds no addresses: a session's dispatch cache starts on it,
+// so the first access always takes the scan.
+var noHeap = new(Heap)
+
 // NewSession builds a session over the given heaps.
 func NewSession(t *machine.Thread, heaps ...*Heap) *Session {
-	return &Session{T: t, heaps: heaps}
+	return &Session{T: t, heaps: heaps, last: noHeap}
 }
 
 // NewFreeSession builds a session with no timing plane: accesses touch
 // the data plane only and charge no simulated cycles. Used to pre-build
 // large structures outside the measured region.
 func NewFreeSession(heaps ...*Heap) *Session {
-	return &Session{heaps: heaps}
+	return &Session{heaps: heaps, last: noHeap}
 }
 
 // WithThread returns a session over the same heaps bound to another
 // thread (e.g. a helper prefetch thread).
 func (s *Session) WithThread(t *machine.Thread) *Session {
-	return &Session{T: t, heaps: s.heaps, obs: s.obs, faults: s.faults}
+	return &Session{T: t, heaps: s.heaps, obs: s.obs, faults: s.faults, last: s.last}
 }
 
-// heapFor locates the heap containing addr.
+// heapFor locates the heap containing addr: the heap that served the
+// previous access when it still matches (one unsigned compare covers
+// both ends of its range), the scan otherwise.
 func (s *Session) heapFor(addr mem.Addr) *Heap {
+	if h := s.last; uint64(addr-h.base) < uint64(len(h.buf)) {
+		return h
+	}
+	return s.findHeap(addr)
+}
+
+// findHeap scans the session's heaps for addr and caches the match.
+func (s *Session) findHeap(addr mem.Addr) *Heap {
 	for _, h := range s.heaps {
 		if h.Contains(addr) {
+			s.last = h
 			return h
 		}
 	}
@@ -109,7 +138,8 @@ func (s *Session) Load64(addr mem.Addr) uint64 {
 		s.T.LoadDep(addr)
 	}
 	s.noteRead(addr)
-	return s.heapFor(addr).Uint64(addr)
+	h := s.heapFor(addr)
+	return binary.LittleEndian.Uint64(h.buf[addr-h.base:])
 }
 
 // Store64 writes a uint64, charging one cacheline store.
@@ -117,7 +147,8 @@ func (s *Session) Store64(addr mem.Addr, v uint64) {
 	if s.T != nil {
 		s.T.Store(addr)
 	}
-	s.heapFor(addr).PutUint64(addr, v)
+	h := s.heapFor(addr)
+	binary.LittleEndian.PutUint64(h.buf[addr-h.base:], v)
 	s.noteStore(addr)
 }
 
@@ -125,14 +156,16 @@ func (s *Session) Store64(addr mem.Addr, v uint64) {
 // assertions and bookkeeping outside the measured path).
 func (s *Session) Peek64(addr mem.Addr) uint64 {
 	s.noteRead(addr)
-	return s.heapFor(addr).Uint64(addr)
+	h := s.heapFor(addr)
+	return binary.LittleEndian.Uint64(h.buf[addr-h.base:])
 }
 
 // Poke64 writes the data plane without charging simulated time. The
 // write is still a store as far as persistence tracking is concerned: it
 // lands in the (volatile) cache and survives only if written back.
 func (s *Session) Poke64(addr mem.Addr, v uint64) {
-	s.heapFor(addr).PutUint64(addr, v)
+	h := s.heapFor(addr)
+	binary.LittleEndian.PutUint64(h.buf[addr-h.base:], v)
 	s.noteStore(addr)
 }
 
@@ -149,7 +182,9 @@ func (s *Session) LoadRange(addr mem.Addr, n int) []byte {
 			s.noteRead(line)
 		}
 	}
-	return s.heapFor(addr).Bytes(addr, n)
+	h := s.heapFor(addr)
+	off := addr - h.base
+	return h.buf[off : off+mem.Addr(n)]
 }
 
 // StoreRange copies data into the heap, charging stores for every
@@ -160,7 +195,9 @@ func (s *Session) StoreRange(addr mem.Addr, data []byte) {
 			s.T.Store(line)
 		}
 	}
-	copy(s.heapFor(addr).Bytes(addr, len(data)), data)
+	h := s.heapFor(addr)
+	off := addr - h.base
+	copy(h.buf[off:off+mem.Addr(len(data))], data)
 	s.noteStoreRange(addr, len(data))
 }
 
@@ -169,7 +206,8 @@ func (s *Session) NTStore64(addr mem.Addr, v uint64) {
 	if s.T != nil {
 		s.T.NTStore(addr)
 	}
-	s.heapFor(addr).PutUint64(addr, v)
+	h := s.heapFor(addr)
+	binary.LittleEndian.PutUint64(h.buf[addr-h.base:], v)
 	s.noteWrite(addr)
 	if s.obs != nil {
 		s.obs.ObserveNTStore(addr.Line())

@@ -7,6 +7,12 @@
 // testing.Benchmark, which is how CI produces the BENCH_simcore.json
 // perf-trajectory artifact.
 //
+// The Session* and BTree* bodies time the layers above the machine:
+// the pmem.Session data plane (heap dispatch plus the backing-store
+// access, with and without a timing plane) and the B+-tree's
+// free-session insert and lookup, the paths that dominate building an
+// index outside the measured region.
+//
 // Every body measures HOST throughput of the simulator, never simulated
 // time: the cycle model is pinned by the golden and determinism tests,
 // and these benchmarks exist to keep wall-clock ops/sec from regressing.
@@ -16,9 +22,12 @@ import (
 	"fmt"
 	"testing"
 
+	"optanesim/internal/btree"
 	"optanesim/internal/machine"
 	"optanesim/internal/mem"
+	"optanesim/internal/pmem"
 	"optanesim/internal/telemetry"
+	"optanesim/internal/workload"
 )
 
 // workingLines is the benchmark working set in cachelines. 256 lines =
@@ -324,4 +333,124 @@ func RestoreWarmRecycled(b *testing.B) {
 		fork = snap.Fork()
 	}
 	snapSink = fork
+}
+
+// sessionBench runs op b.N times on a pmem.Session over a PM heap that
+// holds the working set and a DRAM heap it never touches, the layout
+// of the §4.2 writers. With timed set the session is bound to a
+// simulated thread and every access also charges the timing plane;
+// otherwise it is a free session, which times the data plane alone.
+func sessionBench(b *testing.B, timed bool, op func(s *pmem.Session, a mem.Addr, i int)) {
+	pm := pmem.NewPMHeap(workingLines * mem.CachelineSize)
+	dram := pmem.NewDRAMHeap(1 << 16)
+	body := func(s *pmem.Session) {
+		for i := 0; i < b.N; i++ {
+			op(s, line(i), i)
+		}
+	}
+	b.ReportAllocs()
+	if !timed {
+		b.ResetTimer()
+		body(pmem.NewFreeSession(pm, dram))
+		return
+	}
+	sys := machine.MustNewSystem(machine.G1Config(1))
+	b.ResetTimer()
+	sys.Go("bench-session", 0, false, func(t *machine.Thread) { body(pmem.NewSession(t, pm, dram)) })
+	sys.Run()
+}
+
+// peekSink keeps benchmarked loads live.
+var peekSink uint64
+
+func peek64(s *pmem.Session, a mem.Addr, _ int)    { peekSink += s.Peek64(a) }
+func poke64(s *pmem.Session, a mem.Addr, i int)    { s.Poke64(a, uint64(i)) }
+func load64(s *pmem.Session, a mem.Addr, _ int)    { peekSink += s.Load64(a) }
+func persist64(s *pmem.Session, a mem.Addr, i int) { s.Store64(a, uint64(i)); s.Persist(a, 8) }
+
+// SessionPeek64Free measures Session.Peek64 on a free session: heap
+// dispatch and an 8-byte read of the backing store.
+func SessionPeek64Free(b *testing.B) { sessionBench(b, false, peek64) }
+
+// SessionPeek64Timed measures Peek64 on a session bound to a thread; a
+// peek charges no time, so it should match the free session.
+func SessionPeek64Timed(b *testing.B) { sessionBench(b, true, peek64) }
+
+// SessionPoke64Free measures Session.Poke64 on a free session.
+func SessionPoke64Free(b *testing.B) { sessionBench(b, false, poke64) }
+
+// SessionPoke64Timed measures Poke64 on a session bound to a thread.
+func SessionPoke64Timed(b *testing.B) { sessionBench(b, true, poke64) }
+
+// SessionLoad64Free measures Session.Load64 on a free session.
+func SessionLoad64Free(b *testing.B) { sessionBench(b, false, load64) }
+
+// SessionLoad64Timed measures Load64 charging a dependent L1-hit load:
+// its delta against SimCoreLoad is the session layer's cost.
+func SessionLoad64Timed(b *testing.B) { sessionBench(b, true, load64) }
+
+// SessionPersistFree measures Store64 followed by Persist (clwb +
+// sfence) on a free session: the persist sequence's data-plane and
+// bookkeeping cost with no timing plane.
+func SessionPersistFree(b *testing.B) { sessionBench(b, false, persist64) }
+
+// SessionPersistTimed measures Store64 + Persist on a timed session:
+// its delta against SimCoreFlushFence is the session layer's cost.
+func SessionPersistTimed(b *testing.B) { sessionBench(b, true, persist64) }
+
+// btreeBatch bounds the tree the B+-tree bodies build, so the heap
+// stays small whatever b.N is.
+const btreeBatch = 1 << 16
+
+// btreeFree builds an empty in-place B+-tree on a free session over a
+// heap sized for btreeBatch keys, as bench.Fig12 sizes its heaps.
+func btreeFree(h *pmem.Heap) (*btree.Tree, *btree.Writer, *pmem.Session) {
+	s := pmem.NewFreeSession(h)
+	tr := btree.New(s, h, btree.InPlace)
+	return tr, tr.NewWriter(s, nil), s
+}
+
+func btreeHeap() *pmem.Heap { return pmem.NewPMHeap(btreeBatch*48 + 4<<20) }
+
+// BTreeInsertFree measures free-session B+-tree inserts of random keys,
+// splits included: the per-key cost of prebuilding an index outside the
+// measured region. Every btreeBatch inserts the tree starts over on a
+// zeroed heap, off the clock.
+func BTreeInsertFree(b *testing.B) {
+	keys := workload.SequenceKeys(1<<40, btreeBatch)
+	h := btreeHeap()
+	tr, w, _ := btreeFree(h)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % btreeBatch
+		if j == 0 && i > 0 {
+			b.StopTimer()
+			h.Reset()
+			tr, w, _ = btreeFree(h)
+			b.StartTimer()
+		}
+		if err := tr.Insert(w, keys[j], uint64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BTreeGetFree measures free-session lookups of present keys in a tree
+// of btreeBatch random keys.
+func BTreeGetFree(b *testing.B) {
+	keys := workload.SequenceKeys(1<<40, btreeBatch)
+	tr, w, s := btreeFree(btreeHeap())
+	for _, k := range keys {
+		if err := tr.Insert(w, k, k); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := tr.Get(s, keys[i%btreeBatch]); !ok {
+			b.Fatal("present key missed")
+		}
+	}
 }

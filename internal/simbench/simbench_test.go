@@ -47,6 +47,20 @@ func BenchmarkSimCoreSnapshotWarm(b *testing.B)        { SnapshotWarm(b) }
 func BenchmarkSimCoreRestoreWarm(b *testing.B)         { RestoreWarm(b) }
 func BenchmarkSimCoreRestoreWarmRecycled(b *testing.B) { RestoreWarmRecycled(b) }
 
+// The Session* and BTree* variants time the layers above the machine:
+// the pmem.Session data plane on free and timed sessions, and the
+// B+-tree's free-session insert and lookup.
+func BenchmarkSessionPeek64Free(b *testing.B)   { SessionPeek64Free(b) }
+func BenchmarkSessionPeek64Timed(b *testing.B)  { SessionPeek64Timed(b) }
+func BenchmarkSessionPoke64Free(b *testing.B)   { SessionPoke64Free(b) }
+func BenchmarkSessionPoke64Timed(b *testing.B)  { SessionPoke64Timed(b) }
+func BenchmarkSessionLoad64Free(b *testing.B)   { SessionLoad64Free(b) }
+func BenchmarkSessionLoad64Timed(b *testing.B)  { SessionLoad64Timed(b) }
+func BenchmarkSessionPersistFree(b *testing.B)  { SessionPersistFree(b) }
+func BenchmarkSessionPersistTimed(b *testing.B) { SessionPersistTimed(b) }
+func BenchmarkBTreeInsertFree(b *testing.B)     { BTreeInsertFree(b) }
+func BenchmarkBTreeGetFree(b *testing.B)        { BTreeGetFree(b) }
+
 // TestHotPathAllocs pins the zero-allocation guarantee: once a
 // single-thread workload reaches steady state, the Load, Store,
 // CLWB+SFence, and NTStore+SFence paths must not allocate — with
