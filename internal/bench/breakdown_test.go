@@ -110,38 +110,3 @@ func TestBreakdownHistsDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Errorf("hist JSONL differs between -j 1 and -j 8:\n%s", firstLineDiff(seq, par))
 	}
 }
-
-// TestParallelDeviceTelemetryByteIdentical is the acceptance gate for
-// telemetry composing with parallel device workers: with recording AND
-// attribution on, the metered opt-in experiment's (fig13 — bandwidth
-// and fig14 run unmetered) event streams, sampler series and
-// attribution histograms are byte-identical between serial device
-// service and -device-workers 4. Worker-side capture, stream holes and
-// join-point bank merging must reconstruct the serial order exactly.
-func TestParallelDeviceTelemetryByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second simulation sweep; skipped in -short mode")
-	}
-	run := func(o bench.Options) (events, samples, hists []byte) {
-		recs, hists := runBreakdown(t, []string{"fig13"}, 2, o)
-		var evBuf, smBuf bytes.Buffer
-		if err := telemetry.WriteEventsJSONL(&evBuf, recs...); err != nil {
-			t.Fatalf("events: %v", err)
-		}
-		if err := telemetry.WriteSamplesJSONL(&smBuf, recs...); err != nil {
-			t.Fatalf("samples: %v", err)
-		}
-		return evBuf.Bytes(), smBuf.Bytes(), hists
-	}
-	sEv, sSm, sHi := run(bench.Options{})
-	pEv, pSm, pHi := run(bench.Options{DeviceWorkers: 4})
-	if !bytes.Equal(sEv, pEv) {
-		t.Errorf("event streams differ between serial and -device-workers 4:\n%s", firstLineDiff(sEv, pEv))
-	}
-	if !bytes.Equal(sSm, pSm) {
-		t.Errorf("sampler series differ between serial and -device-workers 4:\n%s", firstLineDiff(sSm, pSm))
-	}
-	if !bytes.Equal(sHi, pHi) {
-		t.Errorf("attribution hists differ between serial and -device-workers 4:\n%s", firstLineDiff(sHi, pHi))
-	}
-}

@@ -121,6 +121,20 @@ type Stats struct {
 	StallCycles sim.Cycles
 }
 
+// Caps on the spec-settable magnitudes. They keep every derived
+// latency in range: a derated media operation is base*(100+D)/100,
+// and a poison penalty is added to a simulated clock, so with base
+// latencies up to 1e6 cycles and clocks up to 2^62 neither a product
+// nor a sum can overflow. Both caps sit far above any physically
+// plausible setting (the faultmatrix experiment uses 150% and 500
+// cycles).
+const (
+	// MaxDeratePct bounds ThermalProfile.DeratePct (media 11x slower).
+	MaxDeratePct = 1000
+	// MaxPoisonExtraCycles bounds PoisonProfile.ReadExtraCycles.
+	MaxPoisonExtraCycles = 1_000_000
+)
+
 // hardPoison marks a line that fails every read until rewritten.
 const hardPoison = -1
 
@@ -325,9 +339,10 @@ func (inj *Injector) StallUntil(now sim.Cycles) sim.Cycles {
 //
 //	seed=N          generator seed for write arming (default 0)
 //	poison=N        arm ~one hard UE per N media writes
-//	poison-extra=C  detect penalty of a poisoned media read (default 300)
+//	poison-extra=C  detect penalty of a poisoned media read (default 300,
+//	                at most MaxPoisonExtraCycles)
 //	thermal=P/W/D   throttle windows: period P, window W (cycles),
-//	                derate D percent
+//	                derate D percent (at most MaxDeratePct)
 //	stall=P/W       WPQ accept-pause windows: period P, window W
 //
 // Example: "poison=64,thermal=400000/200000/150,stall=200000/50000,seed=7".
@@ -356,14 +371,17 @@ func ParseSpec(spec string) (Config, error) {
 			cfg.Poison.WriteOneIn = n
 		case "poison-extra":
 			n, err := strconv.ParseInt(val, 10, 64)
-			if err != nil || n < 0 {
-				return cfg, fmt.Errorf("fault: poison-extra wants cycles >= 0, got %q", val)
+			if err != nil || n < 0 || n > MaxPoisonExtraCycles {
+				return cfg, fmt.Errorf("fault: poison-extra wants 0..%d cycles, got %q", MaxPoisonExtraCycles, val)
 			}
 			cfg.Poison.ReadExtraCycles = sim.Cycles(n)
 		case "thermal":
 			p, w, d, err := splitPWD(val, true)
 			if err != nil {
 				return cfg, fmt.Errorf("fault: thermal: %v", err)
+			}
+			if d > MaxDeratePct {
+				return cfg, fmt.Errorf("fault: thermal derate %d%% exceeds %d%%", d, MaxDeratePct)
 			}
 			cfg.Thermal = ThermalProfile{Period: p, Window: w, DeratePct: int(d)}
 		case "stall":

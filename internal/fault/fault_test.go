@@ -190,9 +190,17 @@ func TestParseSpec(t *testing.T) {
 	if cfg, err = ParseSpec("poison=8"); err != nil || cfg.Poison.ReadExtraCycles != 300 {
 		t.Fatalf("default poison-extra: cfg=%+v err=%v", cfg, err)
 	}
+	if cfg, err = ParseSpec("thermal=1000/1000/1000,poison-extra=1000000"); err != nil ||
+		cfg.Thermal.DeratePct != MaxDeratePct || cfg.Poison.ReadExtraCycles != MaxPoisonExtraCycles {
+		t.Fatalf("caps themselves must parse: cfg=%+v err=%v", cfg, err)
+	}
 	for _, bad := range []string{
 		"", "bogus", "poison", "poison=0", "poison=-3", "thermal=10/20",
 		"thermal=100/200/50", "stall=1/2/3", "stall=100/200", "frob=1",
+		// Magnitudes past the caps: the derate product and the poison
+		// penalty sum would overflow int64.
+		"thermal=1000/1000/40000000000000000", "thermal=1000/1000/1001",
+		"poison-extra=9223372036854775807", "poison-extra=1000001",
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)

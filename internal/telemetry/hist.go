@@ -14,7 +14,7 @@ import (
 // a pure function of the value, so two histograms built from the same
 // multiset of samples are identical regardless of insertion order, and
 // Merge (bucket-wise addition) is exact and deterministic — the property
-// the serial-vs-parallel byte-identity gates rely on.
+// the byte-identity-across-worker-counts gates rely on.
 //
 // Count and Sum are tracked exactly (not reconstructed from buckets), so
 // cycle-conservation checks against histogram sums are exact.
