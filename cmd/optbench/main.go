@@ -6,7 +6,6 @@
 //
 //	optbench [-quick] [-j N] [-json dir] [-plot] [-timeout D] [-keep-going]
 //	         [-cpuprofile f] [-memprofile f] [-progress] [-seed N] [-fault SPEC]
-//	         [-warm-reuse]
 //	         [-trace-out f] [-events-out f] [-sample-out f]
 //	         [-breakdown] [-hist-out f]
 //	         [-sample-every N] [-event-cap N] [-telemetry-addr a]
@@ -26,16 +25,6 @@
 // 'poison=64,thermal=400000/200000/150') degrades the PM module of
 // every metered experiment system — the faultmatrix experiment ignores
 // it and builds its own per-cell injectors.
-//
-// -warm-reuse lets the sweep families that declare a shared warm prefix
-// (fig2's CpX cells, fig13's direct/redirected cells) warm each prefix
-// once, snapshot the complete simulator state
-// (machine.System.Snapshot), and fork the snapshot per cell instead of
-// re-warming every cell from scratch. Results — printed tables, -json
-// records, telemetry sinks — are byte-identical to the cold default
-// (the CI gate cmps them); the reuse silently degrades to cold runs for
-// units carrying telemetry or fault injection. This is a wall-clock
-// knob only.
 //
 // Independent experiment units (e.g. the two generations of fig2, the
 // eight panels of fig8) execute concurrently on a pool of -j workers,
@@ -87,7 +76,6 @@ var (
 	memProfile = flag.String("memprofile", "", "write a heap profile (after the run) to this file")
 	seed       = flag.Uint64("seed", 0, "override the injection matrices' sampling seeds (unit i uses seed+i)")
 	faultSpec  = flag.String("fault", "", "degrade every metered experiment system per this fault spec, e.g. 'poison=64,thermal=400000/200000/150'")
-	warmReuse  = flag.Bool("warm-reuse", false, "warm each declared sweep family once and fork snapshots per cell (results are byte-identical)")
 )
 
 func main() {
@@ -124,7 +112,7 @@ func main() {
 	// Flatten every selected experiment's units into one task list so
 	// the pool stays busy across experiment boundaries, remembering
 	// which result slots belong to which experiment.
-	opts := bench.Options{Quick: *quick, Telemetry: telemetryFactory(), Seed: *seed, WarmReuse: *warmReuse}
+	opts := bench.Options{Quick: *quick, Telemetry: telemetryFactory(), Seed: *seed}
 	if *faultSpec != "" {
 		cfg, err := fault.ParseSpec(*faultSpec)
 		if err != nil {
@@ -295,7 +283,6 @@ func writeRunHeader(dir string, run []string) error {
 		Quick       bool     `json:"quick"`
 		Seed        uint64   `json:"seed"`
 		Fault       string   `json:"fault,omitempty"`
-		WarmReuse   bool     `json:"warm_reuse"`
 		SampleEvery int64    `json:"sample_every"`
 		EventCap    int      `json:"event_cap"`
 		Breakdown   bool     `json:"breakdown"`
@@ -303,7 +290,7 @@ func writeRunHeader(dir string, run []string) error {
 		GoVersion   string   `json:"go_version"`
 		GOMAXPROCS  int      `json:"gomaxprocs"`
 		VCSRevision string   `json:"vcs_revision,omitempty"`
-	}{*quick, *seed, *faultSpec, *warmReuse, *sampleEvery, *eventCap, breakdownEnabled(), run,
+	}{*quick, *seed, *faultSpec, *sampleEvery, *eventCap, breakdownEnabled(), run,
 		runtime.Version(), runtime.GOMAXPROCS(0), vcsRevision()}
 	data, err := json.MarshalIndent(hdr, "", "  ")
 	if err != nil {
@@ -346,6 +333,6 @@ func writeJSONL(dir, name string, results []bench.UnitResult) error {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: optbench [-quick] [-j N] [-json dir] [-plot] [-timeout D] [-keep-going] [-cpuprofile f] [-memprofile f] [-progress] [-seed N] [-fault SPEC] [-warm-reuse] [-trace-out f] [-events-out f] [-sample-out f] [-breakdown] [-hist-out f] [-sample-every N] [-event-cap N] [-telemetry-addr a] <experiment>...\nexperiments: %v all\n",
+	fmt.Fprintf(os.Stderr, "usage: optbench [-quick] [-j N] [-json dir] [-plot] [-timeout D] [-keep-going] [-cpuprofile f] [-memprofile f] [-progress] [-seed N] [-fault SPEC] [-trace-out f] [-events-out f] [-sample-out f] [-breakdown] [-hist-out f] [-sample-every N] [-event-cap N] [-telemetry-addr a] <experiment>...\nexperiments: %v all\n",
 		bench.ExperimentNames())
 }

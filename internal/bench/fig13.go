@@ -32,9 +32,6 @@ type Fig13Options struct {
 	MaxVisits int
 	// Meter, when non-nil, threads telemetry through every system run.
 	Meter *Meter
-	// WarmReuse warms each working-set size once (direct accesses) and
-	// forks the snapshot across the direct/redirected cells.
-	WarmReuse bool
 }
 
 func (o *Fig13Options) defaults() {
@@ -68,11 +65,11 @@ func Fig13(o Fig13Options) []Fig13Point {
 
 // fig13Sweep measures the direct and redirected cells of one working-set
 // size. Both cells share a warm prefix of direct accesses — the warmup
-// only exists to fill caches and on-DIMM buffers — so with WarmReuse the
-// runner warms once and forks the snapshot per cell. The workload RNG is
-// host state: it is saved after warming and restored per cell, and the
-// DRAM staging heap is rebuilt per cell, so each cell sees exactly the
-// state a cold warm+measure run would.
+// only exists to fill caches and on-DIMM buffers — so the runner warms
+// once and forks the snapshot per cell (see Meter.RunWarm). The workload
+// RNG is host state: it is saved after warming and restored per cell,
+// and the DRAM staging heap is rebuilt per cell, so each cell sees
+// exactly the state a cold warm+measure run would.
 func fig13Sweep(o Fig13Options, wss int) (direct, opt trace.Counters) {
 	cfg := o.Gen.Config(1)
 	nBlocks := wss / mem.XPLineSize
@@ -127,7 +124,7 @@ func fig13Sweep(o Fig13Options, wss int) (direct, opt trace.Counters) {
 		},
 		Collect: func(i int, sys *machine.System) { out[i] = sys.PMCounters() },
 	}
-	o.Meter.RunWarm(o.WarmReuse, w)
+	o.Meter.RunWarm(w)
 	return out[0], out[1]
 }
 
@@ -138,7 +135,7 @@ func fig13Units(o Options) []Unit {
 		gen := gen
 		units = append(units, Unit{Experiment: "fig13", Name: gen.String(), Run: func() UnitResult {
 			m := o.meter("fig13/" + gen.String())
-			pts := Fig13(Fig13Options{Gen: gen, MaxVisits: o.scale(40000, 10000), Meter: m, WarmReuse: o.WarmReuse})
+			pts := Fig13(Fig13Options{Gen: gen, MaxVisits: o.scale(40000, 10000), Meter: m})
 			ur := UnitResult{
 				Experiment: "fig13", Unit: gen.String(), Data: pts,
 				Text: FormatFig13(gen, pts),

@@ -28,9 +28,6 @@ type Fig2Options struct {
 	Passes int
 	// Meter, when non-nil, threads telemetry through every system run.
 	Meter *Meter
-	// WarmReuse warms each working-set size once and forks the snapshot
-	// across the four CpX cells (see WarmSweep).
-	WarmReuse bool
 }
 
 func (o *Fig2Options) defaults() {
@@ -64,8 +61,8 @@ func Fig2(o Fig2Options) []Fig2Point {
 
 // fig2Sweep measures the four CpX cells of one working-set size. The
 // cells share a warm prefix — one full pass touching every cacheline of
-// every XPLine fills the caches and on-DIMM buffers — so with WarmReuse
-// the runner warms once and forks the snapshot per cell.
+// every XPLine fills the caches and on-DIMM buffers — so the runner
+// warms once and forks the snapshot per cell (see Meter.RunWarm).
 func fig2Sweep(o Fig2Options, wss int, p *Fig2Point) {
 	nXPLines := wss / mem.XPLineSize
 	if nXPLines == 0 {
@@ -114,7 +111,7 @@ func fig2Sweep(o Fig2Options, wss int, p *Fig2Point) {
 			p.RA[i] = sys.PMCounters().RA()
 		},
 	}
-	o.Meter.RunWarm(o.WarmReuse, w)
+	o.Meter.RunWarm(w)
 }
 
 // fig2Units returns one unit per generation.
@@ -124,7 +121,7 @@ func fig2Units(o Options) []Unit {
 		gen := gen
 		units = append(units, Unit{Experiment: "fig2", Name: gen.String(), Run: func() UnitResult {
 			m := o.meter("fig2/" + gen.String())
-			pts := Fig2(Fig2Options{Gen: gen, Passes: o.scale(8, 3), Meter: m, WarmReuse: o.WarmReuse})
+			pts := Fig2(Fig2Options{Gen: gen, Passes: o.scale(8, 3), Meter: m})
 			ur := UnitResult{
 				Experiment: "fig2", Unit: gen.String(), Data: pts,
 				Text: fmt.Sprintf("[%s] %s", gen, FormatFig2(pts)),

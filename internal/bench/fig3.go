@@ -30,9 +30,6 @@ type Fig3Options struct {
 	RandomOrder bool
 	// Meter, when non-nil, threads telemetry through every system run.
 	Meter *Meter
-	// WarmReuse warms each working-set size once and forks the snapshot
-	// across the four write-fraction cells (see WarmSweep).
-	WarmReuse bool
 }
 
 func (o *Fig3Options) defaults() {
@@ -65,8 +62,8 @@ func Fig3(o Fig3Options) []Fig3Point {
 // fig3Sweep measures the four write-fraction cells of one working-set
 // size. As with fig2, the cells share a warm prefix — one pass writing a
 // single cacheline per XPLine creates every XPLine's write-buffer entry
-// — so with WarmReuse the runner warms once and forks the snapshot per
-// cell.
+// — so the runner warms once and forks the snapshot per cell (see
+// Meter.RunWarm).
 func fig3Sweep(o Fig3Options, wss int, p *Fig3Point) {
 	nXPLines := wss / mem.XPLineSize
 	if nXPLines == 0 {
@@ -125,7 +122,7 @@ func fig3Sweep(o Fig3Options, wss int, p *Fig3Point) {
 			p.WA[i] = c.WA()
 		},
 	}
-	o.Meter.RunWarm(o.WarmReuse, w)
+	o.Meter.RunWarm(w)
 }
 
 // fig3Units returns one unit per generation.
@@ -135,7 +132,7 @@ func fig3Units(o Options) []Unit {
 		gen := gen
 		units = append(units, Unit{Experiment: "fig3", Name: gen.String(), Run: func() UnitResult {
 			m := o.meter("fig3/" + gen.String())
-			pts := Fig3(Fig3Options{Gen: gen, Passes: o.scale(12, 4), Meter: m, WarmReuse: o.WarmReuse})
+			pts := Fig3(Fig3Options{Gen: gen, Passes: o.scale(12, 4), Meter: m})
 			ur := UnitResult{
 				Experiment: "fig3", Unit: gen.String(), Data: pts,
 				Text: fmt.Sprintf("[%s] %s", gen, FormatFig3(pts)),

@@ -24,7 +24,7 @@ var update = flag.Bool("update", false, "rewrite golden files under testdata/")
 // drift in the simulation — an off-by-one in a buffer model, a changed
 // eviction policy, a float reordering — fails this test with a line
 // diff instead of rotting silently.
-var goldenExperiments = []string{"fig2", "fig4", "table1", "replay", "faultmatrix", "tenants", "bandwidth", "fig13", "fig14"}
+var goldenExperiments = []string{"fig2", "fig3", "fig4", "fig7", "table1", "ablation", "ycsb", "sec33", "latency", "indexes", "crashmatrix", "replay", "faultmatrix", "tenants", "bandwidth", "fig13", "fig14"}
 
 func TestGoldenQuickResults(t *testing.T) {
 	for _, name := range goldenExperiments {

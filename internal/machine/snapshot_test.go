@@ -111,7 +111,7 @@ func (o snapOutcome) diff(other snapOutcome) string {
 // counters, per-thread clocks, op counts and TagCycles.
 //
 // For a single thread the phased outcome additionally equals the
-// straight-through chained run (the shape of every warm-reuse sweep
+// straight-through chained run (the shape of every forked sweep
 // family). With several threads it deliberately does not: a phase
 // boundary is a barrier, so one thread's early measure ops no longer
 // interleave in simulated time with another's late warm ops — both
@@ -161,7 +161,7 @@ func TestSnapshotForkFidelity(t *testing.T) {
 
 			if tc.threads == 1 {
 				// Single thread: phased must equal the straight-through
-				// chained run — the identity every warm-reuse sweep
+				// chained run — the identity every forked sweep
 				// family rests on.
 				sysA := MustNewSystem(cfg)
 				thA := sysA.Go("w0", 0, false, func(th *Thread) {

@@ -106,12 +106,10 @@ type System struct {
 
 	// sched holds the suspended runnable threads, keyed by (now, id);
 	// grant horizons are computed against its minimum (see sched.go).
-	// schedSlack caches schedQuantum() for the current Run. isolated is
-	// the workload's SetThreadsIsolated declaration; compatSched (tests
-	// only) forces the classic per-op baton for use as a reference
-	// scheduler.
+	// isolated is the workload's SetThreadsIsolated declaration;
+	// compatSched (tests only) forces the classic per-op baton for use
+	// as a reference scheduler.
 	sched       threadHeap
-	schedSlack  sim.Cycles
 	isolated    bool
 	compatSched bool
 
@@ -525,7 +523,6 @@ func (s *System) run(retain bool) sim.Cycles {
 		return end
 	}
 
-	s.schedSlack = s.schedQuantum()
 	s.sched.reset()
 	s.done = make(chan struct{})
 	for _, t := range s.threads {

@@ -5,10 +5,10 @@
 // Grammar (one statement per line, '#' starts a comment):
 //
 //	gen g1|g2                     select the testbed generation
-//	dimms N                       interleaved Optane DIMMs (default 1)
+//	dimms N                       interleaved Optane DIMMs (1..MaxDIMMs, default 1)
 //	prefetch all|none             CPU prefetchers (default all)
 //	region NAME pm|dram SIZE      declare a region (SIZE like 64K, 4M)
-//	thread NAME [core=N] [remote] begin a thread block
+//	thread NAME [core=N] [remote] begin a thread block (N in 0..MaxCore)
 //	  loop N                      begin a repetition block
 //	    load REGION MODE          ordinary load
 //	    loaddep REGION MODE       dependent (pointer-chase-like) load
@@ -30,6 +30,7 @@ package script
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -39,6 +40,16 @@ import (
 	"optanesim/internal/prefetch"
 	"optanesim/internal/sim"
 	"optanesim/internal/telemetry"
+)
+
+// MaxCore and MaxDIMMs bound the core= and dimms values a script may
+// request. The runner builds one core per index up to the largest core=
+// and one device per DIMM, so an unbounded value would allocate without
+// limit (or wrap the core count). Both bounds exceed a two-socket
+// testbed: 64 cores, and 16 DIMMs across two sockets of 8 channels.
+const (
+	MaxCore  = 63
+	MaxDIMMs = 16
 )
 
 // Program is a parsed script.
@@ -126,8 +137,8 @@ func Parse(src string) (*Program, error) {
 				return nil, fail(ln, "dimms N at top level")
 			}
 			n, err := strconv.Atoi(fields[1])
-			if err != nil || n < 1 {
-				return nil, fail(ln, "bad DIMM count %q", fields[1])
+			if err != nil || n < 1 || n > MaxDIMMs {
+				return nil, fail(ln, "bad DIMM count %q (want 1..%d)", fields[1], MaxDIMMs)
 			}
 			p.DIMMs = n
 
@@ -180,8 +191,8 @@ func Parse(src string) (*Program, error) {
 					t.Remote = true
 				case strings.HasPrefix(opt, "core="):
 					n, err := strconv.Atoi(opt[5:])
-					if err != nil || n < 0 {
-						return nil, fail(ln, "bad core %q", opt)
+					if err != nil || n < 0 || n > MaxCore {
+						return nil, fail(ln, "bad core %q (want 0..%d)", opt, MaxCore)
 					}
 					t.Core = n
 				default:
@@ -267,7 +278,8 @@ func Parse(src string) (*Program, error) {
 	return p, nil
 }
 
-// ParseSize parses "64", "64K", "4M", "1G".
+// ParseSize parses "64", "64K", "4M", "1G". Zero and sizes that do
+// not fit in 64 bits are rejected.
 func ParseSize(s string) (uint64, error) {
 	mult := uint64(1)
 	u := strings.ToUpper(s)
@@ -280,7 +292,7 @@ func ParseSize(s string) (uint64, error) {
 		mult, u = 1<<30, u[:len(u)-1]
 	}
 	n, err := strconv.ParseUint(u, 10, 64)
-	if err != nil || n == 0 {
+	if err != nil || n == 0 || n > math.MaxUint64/mult {
 		return 0, fmt.Errorf("bad size %q", s)
 	}
 	return n * mult, nil

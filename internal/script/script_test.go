@@ -121,7 +121,7 @@ func TestParseSize(t *testing.T) {
 			t.Errorf("ParseSize(%q) = %d, %v", in, got, err)
 		}
 	}
-	for _, bad := range []string{"", "x", "-3", "0", "4KB"} {
+	for _, bad := range []string{"", "x", "-3", "0", "4KB", "17179869184G", "18446744073709551616"} {
 		if _, err := ParseSize(bad); err == nil {
 			t.Errorf("ParseSize(%q) accepted", bad)
 		}
@@ -142,6 +142,11 @@ func TestParseErrors(t *testing.T) {
 		{"bogus", "unknown statement"},
 		{"region a pm 1M\nthread t\nloop zero\nend\nend", "bad loop count"},
 		{"thread t core=x\nend", "bad core"},
+		{"thread t core=64\nend", "bad core"},
+		{"thread t core=9223372036854775807\nend", "bad core"},
+		{"dimms 0\nthread t\nend", "bad DIMM count"},
+		{"dimms 17\nthread t\nend", "bad DIMM count"},
+		{"region a pm 17179869184G\nthread t\nend", "bad size"},
 	}
 	for _, c := range cases {
 		_, err := Parse(c.src)

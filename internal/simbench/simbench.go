@@ -287,7 +287,7 @@ func SnapshotSmall(b *testing.B) {
 
 // SnapshotWarm measures System.Snapshot on a system warmed to steady
 // state by the persist-heavy working-set loop: the realistic capture
-// cost a warm-reuse sweep pays once per family. The reported B/op is
+// cost a forked sweep pays once per family. The reported B/op is
 // the memory cost of holding one warm snapshot.
 func SnapshotWarm(b *testing.B) {
 	sys := snapWarmSystem()
@@ -299,7 +299,7 @@ func SnapshotWarm(b *testing.B) {
 }
 
 // RestoreWarm measures Snapshot.Fork on a warm snapshot: the
-// per-cell reconstitution cost a warm-reuse sweep pays instead of
+// per-cell reconstitution cost a forked sweep pays instead of
 // re-simulating the warm phase. Fork both re-clones the frozen state
 // and revives the carried threads, so this is the complete restore
 // path; Continue afterwards is O(1).

@@ -38,7 +38,7 @@ func BenchmarkSimCoreMultiDIMM8(b *testing.B) { MultiDIMM8(b) }
 func BenchmarkSimCoreLoadTelemetry(b *testing.B)       { LoadTelemetry(b) }
 func BenchmarkSimCoreFlushFenceTelemetry(b *testing.B) { FlushFenceTelemetry(b) }
 
-// The Snapshot*/Restore* variants time the warm-reuse machinery: the
+// The Snapshot*/Restore* variants time the warm-state reuse machinery: the
 // deep state capture on cold and warmed systems, and the per-fork
 // reconstitution a sweep pays in place of re-simulating its warm phase.
 func BenchmarkSimCoreSnapshotSmall(b *testing.B)       { SnapshotSmall(b) }
