@@ -221,6 +221,10 @@ func main() {
 		{"SimCoreSnapshotWarm", simbench.SnapshotWarm},
 		{"SimCoreRestoreWarm", simbench.RestoreWarm},
 		{"SimCoreRestoreWarmRecycled", simbench.RestoreWarmRecycled},
+		// One cache level: fills into empty L3 ways and steady-state
+		// L2 evictions.
+		{"SimCoreCacheFillL3", simbench.CacheFillL3},
+		{"SimCoreCacheEvictL2", simbench.CacheEvictL2},
 		// Layers above the machine: the pmem.Session data plane on
 		// free and timed sessions, and free-session B+-tree paths.
 		{"SessionPeek64Free", simbench.SessionPeek64Free},

@@ -275,9 +275,9 @@ func firstLine(s string) string {
 // or -j, which cannot change a byte of the .jsonl files. The telemetry
 // knobs — sample period, event-ring capacity, breakdown recording —
 // shape the recorded telemetry sinks, so the header pins them too. The
-// provenance fields (Go toolchain, GOMAXPROCS, and the VCS revision
-// when the binary was built from a checkout) say what produced the run;
-// they explain its wall-clock lines, not its records.
+// provenance fields (Go toolchain, GOMAXPROCS, host CPU model, and the
+// VCS revision when the binary was built from a checkout) say what
+// produced the run; they explain its wall-clock lines, not its records.
 func writeRunHeader(dir string, run []string) error {
 	hdr := struct {
 		Quick       bool     `json:"quick"`
@@ -289,14 +289,37 @@ func writeRunHeader(dir string, run []string) error {
 		Experiments []string `json:"experiments"`
 		GoVersion   string   `json:"go_version"`
 		GOMAXPROCS  int      `json:"gomaxprocs"`
+		CPUModel    string   `json:"cpu_model"`
 		VCSRevision string   `json:"vcs_revision,omitempty"`
 	}{*quick, *seed, *faultSpec, *sampleEvery, *eventCap, breakdownEnabled(), run,
-		runtime.Version(), runtime.GOMAXPROCS(0), vcsRevision()}
+		runtime.Version(), runtime.GOMAXPROCS(0), cpuModel(), vcsRevision()}
 	data, err := json.MarshalIndent(hdr, "", "  ")
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(filepath.Join(dir, "run.json"), append(data, '\n'), 0o644)
+}
+
+// cpuModel returns the host CPU's model name as /proc/cpuinfo reports
+// it, or "unknown" where that file cannot be read.
+func cpuModel() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	return parseCPUModel(string(data))
+}
+
+// parseCPUModel returns the value of the first non-empty "model name"
+// field of a /proc/cpuinfo listing, or "unknown" if it has none.
+func parseCPUModel(cpuinfo string) string {
+	for _, line := range strings.Split(cpuinfo, "\n") {
+		key, val, ok := strings.Cut(line, ":")
+		if v := strings.TrimSpace(val); ok && v != "" && strings.TrimSpace(key) == "model name" {
+			return v
+		}
+	}
+	return "unknown"
 }
 
 // vcsRevision returns the VCS revision stamped into the binary at build

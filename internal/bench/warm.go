@@ -78,7 +78,7 @@ func (m *Meter) RunWarm(w WarmSweep) {
 // reuse cache arrays from the meter's cross-family pool, the warmed
 // source, and finished cells — because the deep copies are what
 // the forked path pays instead of re-simulation: a G1 L3 alone is
-// 28.8 MB of line frames, and allocating it per fork would cost more
+// 14.4 MB of line frames, and allocating it per fork would cost more
 // than the warm phases it saves at -quick scale.
 func (m *Meter) runForked(w WarmSweep) {
 	var donors []*machine.System

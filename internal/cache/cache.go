@@ -27,22 +27,20 @@ type Config struct {
 }
 
 // Line is one cacheline frame. Exported fields are manipulated by the
-// machine layer (flush bookkeeping, prefetch confirmation). The layout
-// is hot-first and padded to 64 bytes: the fields a predicted load/store
-// hit touches (ReadyAt, lastUse, the flag bytes) share one host
-// cacheline, and padding keeps every frame line-aligned within the ways
-// array.
+// machine layer (flush bookkeeping, prefetch confirmation). The frame
+// holds no tag or valid bit: which line a way holds, if any, is recorded
+// only in the Cache's tags mirror. That keeps the frame at exactly 32
+// bytes, so two frames share one host cacheline and every frame stays
+// line-aligned within the ways array.
 type Line struct {
 	// ReadyAt is when the fill completes; demand hits before this stall.
 	ReadyAt sim.Cycles
 	lastUse uint64
-	addr    mem.Addr // line-aligned tag; meaningful only when valid
 	// FlushedSeq is the flushing thread's op index at clwb time and
 	// FlushedBy its thread id; together they implement the op-distance
 	// bypass window.
 	FlushedSeq uint64
-	FlushedBy  int
-	valid      bool
+	FlushedBy  int32
 	// Dirty marks modified data that must be written back on eviction.
 	Dirty bool
 	// Prefetched marks a line installed by a prefetcher and not yet
@@ -52,12 +50,7 @@ type Line struct {
 	// readable by the flushing thread for a few more instructions (the
 	// pipeline depth of the invalidation, §3.5) and is then evicted.
 	Flushed bool
-
-	_ [12]byte // pad to 64
 }
-
-// Addr returns the line's tag address.
-func (l *Line) Addr() mem.Addr { return l.addr }
 
 // Victim describes a line displaced by an insertion.
 type Victim struct {
@@ -71,9 +64,10 @@ type Cache struct {
 	cfg   Config
 	nsets int
 	ways  []Line // nsets * assoc, row-major by set
-	// tags mirrors ways' (valid, addr) pairs as line|1 per occupied way
-	// (0 = invalid). Lookups scan this compact array — a whole 8-way set
-	// fits in one host cacheline — instead of striding across Line structs.
+	// tags records which line each way holds, as line|1 per occupied way
+	// (0 = empty). It is the only record of a way's tag and validity.
+	// Lookups scan this compact array — a whole 8-way set fits in one
+	// host cacheline — instead of striding across Line frames.
 	tags []uint64
 	tick uint64
 
@@ -87,12 +81,12 @@ type Cache struct {
 
 	// pred is a direct-mapped way predictor: pred[line mod predSlots]
 	// holds the flat ways index where that line was last found. Entries
-	// are self-validating — the fast path re-checks the pointed-to
-	// frame's own valid+addr, one dependent load after the predictor
-	// probe — so collisions and stale slots cost only the fallback scan,
-	// and no invalidation hooks are needed. It turns the repeated lookups of the
-	// strided access pattern every experiment produces into one predicted
-	// load apiece.
+	// are self-validating — the fast path re-checks the pointed-to way's
+	// tag, one dependent load after the predictor probe — so collisions
+	// and stale slots cost only the fallback scan, and no invalidation
+	// hooks are needed. It turns the repeated lookups of the strided
+	// access pattern every experiment produces into one predicted load
+	// apiece.
 	pred []int32
 
 	// occupied counts valid lines. Its only fast-path use is the == 0
@@ -160,20 +154,10 @@ func NewReusing(cfg Config, donor *Cache) *Cache {
 		return New(cfg)
 	}
 	c := donor
-	tags := c.tags
-	ways := c.ways
-	for i := range tags {
-		if tags[i] != 0 {
-			ways[i] = Line{}
-			tags[i] = 0
-		}
-	}
+	c.Reset()
 	for i := range c.pred {
 		c.pred[i] = 0
 	}
-	c.tick, c.hits, c.misses = 0, 0, 0
-	c.predHits, c.predMisses = 0, 0
-	c.occupied = 0
 	c.tel = nil
 	return c
 }
@@ -207,15 +191,16 @@ const lineShift = 6
 // nil on a miss.
 func (c *Cache) Lookup(addr mem.Addr) *Line {
 	la := addr.Line()
-	l := &c.ways[c.pred[(uint64(la)>>lineShift)&predMask]]
-	if l.valid && l.addr == la {
+	key := uint64(la) | 1
+	if i := c.pred[(uint64(la)>>lineShift)&predMask]; c.tags[i] == key {
+		l := &c.ways[i]
 		c.tick++
 		l.lastUse = c.tick
 		c.hits++
 		c.predHits++
 		return l
 	}
-	return c.lookupSlow(la, uint64(la)|1)
+	return c.lookupSlow(la, key)
 }
 
 // PredictLine returns the line containing addr if the way predictor
@@ -225,9 +210,8 @@ func (c *Cache) Lookup(addr mem.Addr) *Line {
 // pair PredictLine+Touch to resolve the common case without a function
 // call. addr must be line-aligned.
 func (c *Cache) PredictLine(la mem.Addr) *Line {
-	l := &c.ways[c.pred[(uint64(la)>>lineShift)&predMask]]
-	if l.valid && l.addr == la {
-		return l
+	if i := c.pred[(uint64(la)>>lineShift)&predMask]; c.tags[i] == uint64(la)|1 {
+		return &c.ways[i]
 	}
 	return nil
 }
@@ -269,8 +253,8 @@ func (c *Cache) lookupSlow(la mem.Addr, key uint64) *Line {
 func (c *Cache) Peek(addr mem.Addr) *Line {
 	la := addr.Line()
 	key := uint64(la) | 1
-	if l := &c.ways[c.pred[(uint64(la)>>lineShift)&predMask]]; l.valid && l.addr == la {
-		return l
+	if i := c.pred[(uint64(la)>>lineShift)&predMask]; c.tags[i] == key {
+		return &c.ways[i]
 	}
 	return c.peekSlow(la, key)
 }
@@ -328,7 +312,7 @@ func (c *Cache) Insert(addr mem.Addr, dirty, prefetched bool, readyAt sim.Cycles
 				slot = i
 			}
 		}
-		victim = Victim{Addr: set[slot].addr, Dirty: set[slot].Dirty}
+		victim = Victim{Addr: mem.Addr(tags[slot] &^ 1), Dirty: set[slot].Dirty}
 		evicted = true
 		if c.tel != nil {
 			var dirtyArg uint64
@@ -344,14 +328,12 @@ func (c *Cache) Insert(addr mem.Addr, dirty, prefetched bool, readyAt sim.Cycles
 		c.tel.Emit(readyAt, telemetry.KindCacheFill, la, 0)
 	}
 	set[slot] = Line{
-		addr:       la,
-		valid:      true,
 		Dirty:      dirty,
 		Prefetched: prefetched,
 		ReadyAt:    readyAt,
 		lastUse:    c.tick,
 	}
-	c.tags[base+slot] = key
+	tags[slot] = key
 	c.pred[(uint64(la)>>lineShift)&predMask] = int32(base + slot)
 	return victim, evicted
 }
@@ -364,7 +346,7 @@ func (c *Cache) Invalidate(addr mem.Addr) (present, dirty bool) {
 	}
 	la := addr.Line()
 	key := uint64(la) | 1
-	if i := int(c.pred[(uint64(la)>>lineShift)&predMask]); c.ways[i].valid && c.ways[i].addr == la {
+	if i := c.pred[(uint64(la)>>lineShift)&predMask]; c.tags[i] == key {
 		dirty = c.ways[i].Dirty
 		c.ways[i] = Line{}
 		c.tags[i] = 0
@@ -398,7 +380,7 @@ func (c *Cache) Clone() *Cache { return c.CloneInto(nil) }
 // exactly marks the nonzero frames — Insert fully overwrites its slot,
 // and Invalidate and Reset zero frame and tag together — so one walk of
 // the compact tag mirror touches only the union of both caches'
-// occupancy instead of memmoving the whole geometry (28.8 MB of frames
+// occupancy instead of memmoving the whole geometry (14.4 MB of frames
 // for G1's L3). That bounds a warm-state fork's cost by its touched
 // footprint, which is what makes snapshot reuse profitable for sweeps
 // whose warm state is far smaller than the cache. It returns dst.
@@ -443,11 +425,16 @@ func (c *Cache) PredStats() (hits, misses uint64) { return c.predHits, c.predMis
 // SetTelemetry attaches (or, with nil, detaches) the level's event probe.
 func (c *Cache) SetTelemetry(p *telemetry.Probe) { c.tel = p }
 
-// Reset invalidates every line and clears statistics.
+// Reset invalidates every line and clears statistics. Like CloneInto
+// it walks the compact tag mirror and clears only occupied frames. The
+// way predictor keeps its entries, which are self-validating.
 func (c *Cache) Reset() {
-	for i := range c.ways {
-		c.ways[i] = Line{}
-		c.tags[i] = 0
+	tags, ways := c.tags, c.ways
+	for i := range tags {
+		if tags[i] != 0 {
+			ways[i] = Line{}
+			tags[i] = 0
+		}
 	}
 	c.tick, c.hits, c.misses = 0, 0, 0
 	c.predHits, c.predMisses = 0, 0

@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"optanesim/internal/mem"
 	"optanesim/internal/sim"
@@ -19,14 +20,66 @@ func TestLookupMissThenHit(t *testing.T) {
 	if c.Lookup(a) != nil {
 		t.Fatal("cold lookup hit")
 	}
-	c.Insert(a, false, false, 0)
+	c.Insert(a, false, false, 7)
 	l := c.Lookup(a)
-	if l == nil || l.Addr() != a.Line() {
+	if l == nil || l.ReadyAt != 7 || tagOf(c, l) != a.Line() {
 		t.Fatal("inserted line not found")
 	}
 	hits, misses := c.Stats()
 	if hits != 1 || misses != 1 {
 		t.Fatalf("stats = (%d,%d), want (1,1)", hits, misses)
+	}
+}
+
+// tagOf returns the line address the tag mirror records for frame l.
+func tagOf(c *Cache, l *Line) mem.Addr {
+	for i := range c.ways {
+		if &c.ways[i] == l {
+			return mem.Addr(c.tags[i] &^ 1)
+		}
+	}
+	panic("frame not in cache")
+}
+
+// TestLineIs32Bytes pins the frame size: two frames per host cacheline,
+// every frame line-aligned within the ways array.
+func TestLineIs32Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Line{}); n != 32 {
+		t.Fatalf("unsafe.Sizeof(Line{}) = %d, want 32", n)
+	}
+}
+
+// TestCacheHotPathAllocs pins the level's per-access operations at zero
+// allocations: Insert into an empty way and over an LRU victim, Lookup,
+// Peek and Invalidate.
+func TestCacheHotPathAllocs(t *testing.T) {
+	c := New(Config{Name: "L2", Size: 1 << 20, Assoc: 16, HitCycles: 14})
+	stride := mem.Addr(c.nsets * mem.CachelineSize)
+	var i mem.Addr
+	cases := []struct {
+		name string
+		fn   func()
+	}{
+		{"insert-empty", func() {
+			c.Insert(i*mem.CachelineSize, true, false, 0)
+			c.Invalidate(i * mem.CachelineSize)
+			i++
+		}},
+		{"insert-evict", func() {
+			c.Insert(i*stride, true, false, 0)
+			i++
+		}},
+		{"lookup", func() { c.Lookup((i - 1) * stride) }},
+		{"peek", func() { c.Peek((i - 1) * stride) }},
+		{"invalidate", func() {
+			c.Invalidate(i * stride)
+			c.Insert(i*stride, false, false, 0)
+		}},
+	}
+	for _, tc := range cases {
+		if n := testing.AllocsPerRun(1000, tc.fn); n != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", tc.name, n)
+		}
 	}
 }
 

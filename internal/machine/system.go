@@ -138,7 +138,7 @@ type System struct {
 func NewSystem(cfg Config) (*System, error) { return NewSystemReusing(cfg, nil) }
 
 // NewSystemReusing is NewSystem with donor storage: the donor's cache
-// arrays — the bulk of a System's footprint (a G1 L3 alone is 28.8 MB
+// arrays — the bulk of a System's footprint (a G1 L3 alone is 14.4 MB
 // of line frames) — are sparsely reset in place (cache.NewReusing) and
 // reused instead of allocated, so a sweep that builds one system per
 // family recycles geometry instead of paying the allocator's full

@@ -376,7 +376,7 @@ func (t *Thread) paceSeqRead(done sim.Cycles) sim.Cycles {
 // unless the line's pending flush invalidation has expired, in which
 // case the walk resumes at L2.
 func (t *Thread) readPathL1(start sim.Cycles, addr mem.Addr, l *cache.Line, demand, dep bool) sim.Cycles {
-	if t.flushExpired(t.core.L1, l, start) {
+	if t.flushExpired(t.core.L1, addr.Line(), l, start) {
 		return t.readPathMiss(start, addr, demand, dep)
 	}
 	confirmed := l.Prefetched
@@ -399,7 +399,7 @@ func (t *Thread) readPathMiss(start sim.Cycles, addr mem.Addr, demand, dep bool)
 	la := addr.Line()
 
 	// L2.
-	if l := t.core.L2.Lookup(la); l != nil && !t.flushExpired(t.core.L2, l, start) {
+	if l := t.core.L2.Lookup(la); l != nil && !t.flushExpired(t.core.L2, la, l, start) {
 		confirmed := l.Prefetched
 		l.Prefetched = false
 		done := sim.Max(start, l.ReadyAt) + t.core.L2.HitCycles()
@@ -414,7 +414,7 @@ func (t *Thread) readPathMiss(start sim.Cycles, addr mem.Addr, demand, dep bool)
 		return done
 	}
 	// Shared L3.
-	if l := t.sys.l3.Lookup(la); l != nil && !t.flushExpired(t.sys.l3, l, start) {
+	if l := t.sys.l3.Lookup(la); l != nil && !t.flushExpired(t.sys.l3, la, l, start) {
 		confirmed := l.Prefetched
 		l.Prefetched = false
 		done := sim.Max(start, l.ReadyAt) + t.sys.l3.HitCycles()
@@ -446,19 +446,20 @@ func (t *Thread) readPathMiss(start sim.Cycles, addr mem.Addr, demand, dep bool)
 
 // flushExpired applies G1's lazy clwb invalidation: a line with a
 // pending flush becomes unreadable once the invalidation delay elapses.
-func (t *Thread) flushExpired(c *cache.Cache, l *cache.Line, at sim.Cycles) bool {
+// l is c's frame for line address la.
+func (t *Thread) flushExpired(c *cache.Cache, la mem.Addr, l *cache.Line, at sim.Cycles) bool {
 	if !l.Flushed {
 		return false
 	}
-	if l.FlushedBy == t.id && t.ops-l.FlushedSeq <= t.cpu().InvalidateDelayOps {
+	if l.FlushedBy == int32(t.id) && t.ops-l.FlushedSeq <= t.cpu().InvalidateDelayOps {
 		return false
 	}
 	// The delayed invalidation lands now; a line re-dirtied since the
 	// clwb is written back on its way out.
 	if l.Dirty {
-		t.sys.controller(l.Addr()).Write(at, l.Addr())
+		t.sys.controller(la).Write(at, la)
 	}
-	c.Invalidate(l.Addr())
+	c.Invalidate(la)
 	return true
 }
 
@@ -548,7 +549,7 @@ func (t *Thread) Store(addr mem.Addr) {
 		l.Dirty = true
 		l.Prefetched = false
 		t.advance(t.now + t.feCost(cpu.StoreCycles))
-	} else if l := t.core.L1.Lookup(la); l != nil && (!l.Flushed || !t.flushExpired(t.core.L1, l, t.now)) {
+	} else if l := t.core.L1.Lookup(la); l != nil && (!l.Flushed || !t.flushExpired(t.core.L1, la, l, t.now)) {
 		// A pending clwb invalidation is NOT cancelled by the store: the
 		// line is re-dirtied but still gets evicted when the
 		// invalidation lands, which is what makes repeated
@@ -691,7 +692,7 @@ func (t *Thread) flush(addr mem.Addr, keepCached, lazy bool) {
 			l.Dirty = false
 			l.Flushed = true
 			l.FlushedSeq = t.ops
-			l.FlushedBy = t.id
+			l.FlushedBy = int32(t.id)
 			t.lazyFlushed = append(t.lazyFlushed, la)
 		case lazy && l.Flushed:
 			l.Dirty = false

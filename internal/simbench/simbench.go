@@ -7,6 +7,10 @@
 // testing.Benchmark, which is how CI produces the BENCH_simcore.json
 // perf-trajectory artifact.
 //
+// The Cache* bodies time one layer below it: a single cache level's
+// Insert on the two paths a sweep's fills take, into an empty way and
+// over an LRU victim.
+//
 // The Session* and BTree* bodies time the layers above the machine:
 // the pmem.Session data plane (heap dispatch plus the backing-store
 // access, with and without a timing plane) and the B+-tree's
@@ -23,6 +27,7 @@ import (
 	"testing"
 
 	"optanesim/internal/btree"
+	"optanesim/internal/cache"
 	"optanesim/internal/machine"
 	"optanesim/internal/mem"
 	"optanesim/internal/pmem"
@@ -392,6 +397,53 @@ func SessionPersistFree(b *testing.B) { sessionBench(b, false, persist64) }
 // SessionPersistTimed measures Store64 + Persist on a timed session:
 // its delta against SimCoreFlushFence is the session layer's cost.
 func SessionPersistTimed(b *testing.B) { sessionBench(b, true, persist64) }
+
+// CacheFillL3 measures inserts into empty ways of a G1 L3, the fill a
+// pointer chase past the L3 pays per line on a freshly built system.
+// Each lap inserts every line of a permutation of the level's capacity
+// (a multiplicative hash of the lap index, so consecutive inserts land
+// in pseudo-random sets), which fills every way exactly once without an
+// eviction; between laps the level is emptied off the clock.
+func CacheFillL3(b *testing.B) {
+	cfg := machine.G1CPU().L3
+	c := cache.New(cfg)
+	lines := uint64(cfg.Size / mem.CachelineSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := uint64(i) % lines
+		if j == 0 && i > 0 {
+			b.StopTimer()
+			c = cache.NewReusing(cfg, c)
+			b.StartTimer()
+		}
+		// 2654435761 is prime, so coprime to lines: j -> j*k mod lines
+		// is a permutation.
+		la := mem.PMBase + mem.Addr(j*2654435761%lines*mem.CachelineSize)
+		c.Insert(la, false, false, 0)
+	}
+}
+
+// CacheEvictL2 measures steady-state evictions from a full G1 L2
+// (1 MB, 16-way): a cyclic sweep over twice the level's capacity, so
+// under LRU every insert misses and displaces the set's oldest way.
+// Every other line is inserted dirty, so half the victims carry data.
+func CacheEvictL2(b *testing.B) {
+	cfg := machine.G1CPU().L2
+	c := cache.New(cfg)
+	span := 2 * cfg.Size / mem.CachelineSize
+	addr := func(i int) mem.Addr { return mem.PMBase + mem.Addr(i%span*mem.CachelineSize) }
+	for i := 0; i < span; i++ {
+		c.Insert(addr(i), i&1 == 0, false, 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, evicted := c.Insert(addr(i), i&1 == 0, false, 0); !evicted {
+			b.Fatal("steady-state insert did not evict")
+		}
+	}
+}
 
 // btreeBatch bounds the tree the B+-tree bodies build, so the heap
 // stays small whatever b.N is.

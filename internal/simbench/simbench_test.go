@@ -46,6 +46,11 @@ func BenchmarkSimCoreSnapshotWarm(b *testing.B)        { SnapshotWarm(b) }
 func BenchmarkSimCoreRestoreWarm(b *testing.B)         { RestoreWarm(b) }
 func BenchmarkSimCoreRestoreWarmRecycled(b *testing.B) { RestoreWarmRecycled(b) }
 
+// The Cache* variants time one cache level's Insert: fills into the
+// empty ways of a G1 L3 and steady-state evictions from a full L2.
+func BenchmarkSimCoreCacheFillL3(b *testing.B)  { CacheFillL3(b) }
+func BenchmarkSimCoreCacheEvictL2(b *testing.B) { CacheEvictL2(b) }
+
 // The Session* and BTree* variants time the layers above the machine:
 // the pmem.Session data plane on free and timed sessions, and the
 // B+-tree's free-session insert and lookup.
