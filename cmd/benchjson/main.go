@@ -236,6 +236,7 @@ func main() {
 		{"SessionPersistFree", simbench.SessionPersistFree},
 		{"SessionPersistTimed", simbench.SessionPersistTimed},
 		{"BTreeInsertFree", simbench.BTreeInsertFree},
+		{"BTreeInsertFreeRedo", simbench.BTreeInsertFreeRedo},
 		{"BTreeGetFree", simbench.BTreeGetFree},
 	}
 

@@ -48,6 +48,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -132,12 +133,8 @@ func main() {
 	for _, name := range run {
 		units, _ := bench.ExperimentUnits(name, opts)
 		for _, u := range units {
-			u := u
 			slots[name] = append(slots[name], len(tasks))
-			tasks = append(tasks, runner.Task{
-				ID:  u.ID(),
-				Run: func() (any, error) { return u.Run(), nil },
-			})
+			tasks = append(tasks, unitTask(u))
 		}
 	}
 
@@ -258,6 +255,21 @@ func startProfiles() func() {
 				fmt.Fprintf(os.Stderr, "optbench: %v\n", err)
 			}
 		}
+	}
+}
+
+// unitTask wraps u as a runner task that runs under the pprof labels
+// experiment=<experiment> and unit=<unit ID>, which every goroutine the
+// unit starts inherits, so `go tool pprof -tags` on a -cpuprofile splits
+// host time per experiment and unit.
+func unitTask(u bench.Unit) runner.Task {
+	labels := pprof.Labels("experiment", u.Experiment, "unit", u.ID())
+	return runner.Task{
+		ID: u.ID(),
+		Run: func() (res any, err error) {
+			pprof.Do(context.Background(), labels, func(context.Context) { res = u.Run() })
+			return res, nil
+		},
 	}
 }
 

@@ -13,10 +13,13 @@
 //     persisted once per touched cacheline.
 //
 // Both modes produce identical tree states; only the persist pattern
-// differs.
+// differs. A leaf insert on a session nothing watches
+// (pmem.Session.Untracked, e.g. an index prebuild) skips the pattern
+// and writes the bytes it would leave, log included, in bulk.
 package btree
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"optanesim/internal/mem"
@@ -280,12 +283,18 @@ func (t *Tree) Insert(w *Writer, key, val uint64) error {
 }
 
 // insertIntoLeaf performs the sorted in-node insertion with the mode's
-// persist pattern. The node is known to have room.
+// persist pattern, store by store, on any watched session; on an
+// untracked one it writes the same final bytes in bulk. The node is
+// known to have room.
 func (t *Tree) insertIntoLeaf(w *Writer, n mem.Addr, key, val uint64) {
 	s := w.s
 	pos := t.search(s, n, key)
 	cnt := t.count(s, n)
 
+	if s.Untracked() {
+		t.insertDirect(w, n, pos, cnt, key, val)
+		return
+	}
 	switch t.mode {
 	case InPlace:
 		// FAST-style shift with a persistence barrier per shifted slot:
@@ -358,6 +367,22 @@ func (t *Tree) insertIntoLeaf(w *Writer, n mem.Addr, key, val uint64) {
 		w.commit()
 		w.apply()
 	}
+}
+
+// insertDirect writes the heap image the mode's persist pattern leaves
+// behind, in bulk: slots [pos,cnt) move up one slot, (key, val) fills
+// slot pos and the count grows by one, and a RedoLog writer's log holds
+// the retired transaction. Only an untracked session may take it, since
+// nothing there can observe the per-slot intermediate states.
+func (t *Tree) insertDirect(w *Writer, n mem.Addr, pos, cnt int, key, val uint64) {
+	slots := t.heap.Bytes(slotAddr(n, 0), 16*(cnt+1))
+	if t.mode == RedoLog {
+		w.logInsertDirect(n, slots, pos, cnt, key, val)
+	}
+	copy(slots[16*(pos+1):], slots[16*pos:16*cnt])
+	binary.LittleEndian.PutUint64(slots[16*pos:], key)
+	binary.LittleEndian.PutUint64(slots[16*pos+8:], val)
+	t.heap.PutUint64(n+headerCount, uint64(cnt+1))
 }
 
 // splitLeaf splits a full leaf, distributing slots evenly, persists both

@@ -1,6 +1,8 @@
 package btree
 
 import (
+	"encoding/binary"
+
 	"optanesim/internal/mem"
 	"optanesim/internal/pmem"
 )
@@ -119,6 +121,34 @@ func (w *Writer) appendEntry(u update) {
 	if w.dramBase != 0 {
 		s.StoreLine(w.dramBase + mem.Addr(idx*logEntryBytes))
 	}
+}
+
+// logInsertDirect writes, straight into the heap, the log a leaf insert
+// leaves once committed, applied and retired: one entry per slot of
+// node n shifted up (top first), the entry for (key, val) at pos, the
+// count entry, and a zero flag. slots holds the node's cnt slots before
+// the shift.
+func (w *Writer) logInsertDirect(n mem.Addr, slots []byte, pos, cnt int, key, val uint64) {
+	h := w.t.heap
+	idx := 0
+	for i := cnt; i > pos; i-- {
+		old := slots[16*(i-1):]
+		w.putEntry(h, idx, entrySlot, slotAddr(n, i), binary.LittleEndian.Uint64(old), binary.LittleEndian.Uint64(old[8:]))
+		idx++
+	}
+	w.putEntry(h, idx, entrySlot, slotAddr(n, pos), key, val)
+	w.putEntry(h, idx+1, entryCount, n, 0, uint64(cnt+1))
+	h.PutUint64(w.flagAddr, 0)
+}
+
+// putEntry writes log entry idx the way appendEntry does, without a
+// session.
+func (w *Writer) putEntry(h *pmem.Heap, idx int, kind uint64, addr mem.Addr, key, val uint64) {
+	e := h.Bytes(w.logBase+mem.Addr(idx*logEntryBytes), 32)
+	binary.LittleEndian.PutUint64(e, kind)
+	binary.LittleEndian.PutUint64(e[8:], uint64(addr))
+	binary.LittleEndian.PutUint64(e[16:], key)
+	binary.LittleEndian.PutUint64(e[24:], val)
 }
 
 // commit publishes the transaction with an atomic 8-byte flag holding

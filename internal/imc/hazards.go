@@ -28,6 +28,12 @@ type hazardTable struct {
 	live  int  // entries visible to get (= old map's len)
 	used  int  // occupied slots including tombstones (growth trigger)
 	shift uint // 64 - log2(len(keys))
+
+	// spareKeys/spareVals are the arrays the last rebuild retired; the
+	// next rebuild that wants the same slot count reuses them instead
+	// of allocating.
+	spareKeys []uint64
+	spareVals []sim.Cycles
 }
 
 // hazardDead marks a tombstoned slot. No real hazard close time is
@@ -43,8 +49,15 @@ func newHazardTable() *hazardTable {
 }
 
 func (t *hazardTable) init(slots int) {
-	t.keys = make([]uint64, slots)
-	t.vals = make([]sim.Cycles, slots)
+	if len(t.spareKeys) == slots {
+		t.keys, t.vals = t.spareKeys, t.spareVals
+		t.spareKeys, t.spareVals = nil, nil
+		clear(t.keys)
+		clear(t.vals)
+	} else {
+		t.keys = make([]uint64, slots)
+		t.vals = make([]sim.Cycles, slots)
+	}
 	t.live = 0
 	t.used = 0
 	t.shift = 64
@@ -163,4 +176,5 @@ func (t *hazardTable) rebuild(expire bool, expireBefore sim.Cycles) {
 		t.live++
 		t.used++
 	}
+	t.spareKeys, t.spareVals = oldKeys, oldVals
 }

@@ -278,13 +278,26 @@ type wbTable struct {
 	live  int
 	used  int // occupied slots including tombstones (growth trigger)
 	shift uint
+
+	// spareKeys/spareVals are the arrays the last rebuild retired (its
+	// values already cleared, so they keep no entry alive); the next
+	// rebuild that wants the same slot count reuses them instead of
+	// allocating.
+	spareKeys []uint64
+	spareVals []*wbEntry
 }
 
 const wbInitialSlots = 1 << 9
 
 func (t *wbTable) init(slots int) {
-	t.keys = make([]uint64, slots)
-	t.vals = make([]*wbEntry, slots)
+	if len(t.spareKeys) == slots {
+		t.keys, t.vals = t.spareKeys, t.spareVals
+		t.spareKeys, t.spareVals = nil, nil
+		clear(t.keys)
+	} else {
+		t.keys = make([]uint64, slots)
+		t.vals = make([]*wbEntry, slots)
+	}
 	t.live = 0
 	t.used = 0
 	t.shift = 64
@@ -380,4 +393,6 @@ func (t *wbTable) rebuild() {
 		t.live++
 		t.used++
 	}
+	clear(oldVals)
+	t.spareKeys, t.spareVals = oldKeys, oldVals
 }

@@ -220,3 +220,34 @@ func TestSessionDispatchObserver(t *testing.T) {
 		t.Errorf("observed stores on %d lines, want 2", len(obs.stores))
 	}
 }
+
+// TestUntracked checks the predicate that lets callers skip a persist
+// pattern: only a session with no timing thread, no observer and no
+// injector is untracked, and detaching the last watcher restores it.
+func TestUntracked(t *testing.T) {
+	pm, dram := twoHeaps()
+	s := NewFreeSession(pm, dram)
+	if !s.Untracked() || !s.WithThread(nil).Untracked() {
+		t.Fatal("a free session is not untracked")
+	}
+	s.SetObserver(&storeCounter{stores: map[mem.Addr]int{}})
+	if s.Untracked() || s.WithThread(nil).Untracked() {
+		t.Fatal("a session with an observer is untracked")
+	}
+	s.SetObserver(nil)
+	s.SetFaults(fault.New(fault.Config{}))
+	if s.Untracked() || s.WithThread(nil).Untracked() {
+		t.Fatal("a session with an injector is untracked")
+	}
+	s.SetFaults(nil)
+	if !s.Untracked() {
+		t.Fatal("detaching every watcher did not restore an untracked session")
+	}
+	sys := machine.MustNewSystem(machine.G1Config(1))
+	sys.Go("untracked", 0, false, func(th *machine.Thread) {
+		if NewSession(th, pm).Untracked() || s.WithThread(th).Untracked() {
+			t.Error("a timed session is untracked")
+		}
+	})
+	sys.Run()
+}

@@ -103,6 +103,16 @@ func NewFreeSession(heaps ...*Heap) *Session {
 	return &Session{heaps: heaps, last: noHeap}
 }
 
+// Untracked reports whether nothing watches the session: no timing
+// thread, no persist observer and no fault injector. An untracked
+// session's accesses have no effect beyond the heap bytes they leave,
+// so a caller may write final contents directly instead of replaying a
+// persist pattern store by store; any watched session must get every
+// store, flush and fence in program order.
+func (s *Session) Untracked() bool {
+	return s.T == nil && s.obs == nil && s.faults == nil
+}
+
 // WithThread returns a session over the same heaps bound to another
 // thread (e.g. a helper prefetch thread).
 func (s *Session) WithThread(t *machine.Thread) *Session {

@@ -449,24 +449,30 @@ func CacheEvictL2(b *testing.B) {
 // stays small whatever b.N is.
 const btreeBatch = 1 << 16
 
-// btreeFree builds an empty in-place B+-tree on a free session over a
-// heap sized for btreeBatch keys, as bench.Fig12 sizes its heaps.
-func btreeFree(h *pmem.Heap) (*btree.Tree, *btree.Writer, *pmem.Session) {
+// btreeFree builds an empty B+-tree on a free session over a heap
+// sized for btreeBatch keys, as bench.Fig12 sizes its heaps.
+func btreeFree(h *pmem.Heap, mode btree.Mode) (*btree.Tree, *btree.Writer, *pmem.Session) {
 	s := pmem.NewFreeSession(h)
-	tr := btree.New(s, h, btree.InPlace)
+	tr := btree.New(s, h, mode)
 	return tr, tr.NewWriter(s, nil), s
 }
 
 func btreeHeap() *pmem.Heap { return pmem.NewPMHeap(btreeBatch*48 + 4<<20) }
 
-// BTreeInsertFree measures free-session B+-tree inserts of random keys,
-// splits included: the per-key cost of prebuilding an index outside the
-// measured region. Every btreeBatch inserts the tree starts over on a
-// zeroed heap, off the clock.
-func BTreeInsertFree(b *testing.B) {
+// BTreeInsertFree measures free-session in-place B+-tree inserts of
+// random keys, splits included: the per-key cost of prebuilding an
+// index outside the measured region. Every btreeBatch inserts the tree
+// starts over on a zeroed heap, off the clock.
+func BTreeInsertFree(b *testing.B) { btreeInsertFree(b, btree.InPlace) }
+
+// BTreeInsertFreeRedo is BTreeInsertFree on a redo-log tree, whose
+// free-session inserts also write the retired log.
+func BTreeInsertFreeRedo(b *testing.B) { btreeInsertFree(b, btree.RedoLog) }
+
+func btreeInsertFree(b *testing.B, mode btree.Mode) {
 	keys := workload.SequenceKeys(1<<40, btreeBatch)
 	h := btreeHeap()
-	tr, w, _ := btreeFree(h)
+	tr, w, _ := btreeFree(h, mode)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -474,7 +480,7 @@ func BTreeInsertFree(b *testing.B) {
 		if j == 0 && i > 0 {
 			b.StopTimer()
 			h.Reset()
-			tr, w, _ = btreeFree(h)
+			tr, w, _ = btreeFree(h, mode)
 			b.StartTimer()
 		}
 		if err := tr.Insert(w, keys[j], uint64(i)); err != nil {
@@ -487,7 +493,7 @@ func BTreeInsertFree(b *testing.B) {
 // of btreeBatch random keys.
 func BTreeGetFree(b *testing.B) {
 	keys := workload.SequenceKeys(1<<40, btreeBatch)
-	tr, w, s := btreeFree(btreeHeap())
+	tr, w, s := btreeFree(btreeHeap(), btree.InPlace)
 	for _, k := range keys {
 		if err := tr.Insert(w, k, k); err != nil {
 			b.Fatal(err)

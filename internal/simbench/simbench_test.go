@@ -63,6 +63,7 @@ func BenchmarkSessionLoad64Timed(b *testing.B)  { SessionLoad64Timed(b) }
 func BenchmarkSessionPersistFree(b *testing.B)  { SessionPersistFree(b) }
 func BenchmarkSessionPersistTimed(b *testing.B) { SessionPersistTimed(b) }
 func BenchmarkBTreeInsertFree(b *testing.B)     { BTreeInsertFree(b) }
+func BenchmarkBTreeInsertFreeRedo(b *testing.B) { BTreeInsertFreeRedo(b) }
 func BenchmarkBTreeGetFree(b *testing.B)        { BTreeGetFree(b) }
 
 // TestHotPathAllocs pins the zero-allocation guarantee: once a
